@@ -150,9 +150,9 @@ def _run_superstep_world(backend, nprocs=16):
 
 
 def test_smoke_map_ranks_backends_identical():
-    """Results, clocks and memory peaks match across all four backends."""
+    """Results, clocks and memory peaks match across all backends."""
     ws, rs = _run_superstep_world("serial")
-    for backend in ("thread", "process", "mpi"):
+    for backend in ("thread", "process"):
         wb, rb = _run_superstep_world(backend)
         assert rs == rb
         assert ws.clock.stages() == wb.clock.stages()
@@ -178,7 +178,7 @@ def test_smoke_trace_digest_identical_across_backends(out_dir):
 
     digests = {}
     serial_tracer = None
-    for backend in ("serial", "thread", "process", "mpi"):
+    for backend in ("serial", "thread", "process"):
         payloads = make_rank_payloads(8, elems_per_rank=2_000)
         world = SimWorld(8, cori_haswell(), executor=backend)
         tracer = Tracer()

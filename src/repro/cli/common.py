@@ -95,15 +95,10 @@ def add_pipeline_args(parser: argparse.ArgumentParser) -> None:
         help="candidate pairs per batched-aligner kernel call",
     )
     parser.add_argument(
-        "--contig-engine", choices=("batch", "scalar"), default=None,
-        help="local-assembly traversal: vectorized batch or scalar reference",
-    )
-    parser.add_argument(
         "--executor", choices=tuple(EXECUTOR_BACKENDS), default=None,
         help="per-rank compute backend: serial loop, thread pool, "
-        "spawn-safe process pool over shared-memory buffers, or mpi4py "
-        "(single-rank emulator without MPI); outputs are bit-identical "
-        "on every backend; default from $REPRO_EXECUTOR",
+        "or spawn-safe process pool over shared-memory buffers; outputs "
+        "are bit-identical on every backend; default from $REPRO_EXECUTOR",
     )
     parser.add_argument(
         "--kernel-tier", choices=tuple(KERNEL_TIERS), default=None,
@@ -148,8 +143,6 @@ def build_pipeline_config(args, ds=None) -> PipelineConfig:
         cfg.align_mode = args.align_mode
     if args.align_batch_size is not None:
         cfg.align_batch_size = args.align_batch_size
-    if getattr(args, "contig_engine", None) is not None:
-        cfg.contig_engine = args.contig_engine
     if getattr(args, "executor", None) is not None:
         cfg.executor = args.executor
     if getattr(args, "kernel_tier", None) is not None:

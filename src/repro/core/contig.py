@@ -80,7 +80,6 @@ def contig_generation(
     count_limit: int = MPI_COUNT_LIMIT,
     polish: bool = False,
     polish_config=None,
-    assembly_engine: str = "batch",
     kernel_tier: str | None = None,
 ) -> ContigSet:
     """Generate the contig set from the string matrix S and the reads.
@@ -91,11 +90,8 @@ def contig_generation(
     already placed every contig's reads on its owner rank, so no further
     communication is needed).
 
-    ``assembly_engine`` selects the local traversal implementation
-    (``"batch"`` or ``"scalar"``); both are bit-identical, so the choice
-    never changes the contig set.  ``kernel_tier`` picks the batch
-    engine's walk-advance kernel (``numpy`` | ``native``), also
-    bit-identical.
+    ``kernel_tier`` picks the local traversal's walk-advance kernel
+    (``numpy`` | ``native``); the tiers are bit-identical.
     """
     world = S.grid.world
 
@@ -125,8 +121,8 @@ def contig_generation(
         # subgraph through the executor backend
         def _assemble_step(ctx, graph, shard):
             res = local_assembly(
-                graph, shard, emit_cycles=emit_cycles, engine=assembly_engine,
-                kernel_tier=kernel_tier, span=ctx.span,
+                graph, shard, emit_cycles=emit_cycles, kernel_tier=kernel_tier,
+                span=ctx.span,
             )
             ctx.charge_compute(
                 graph.coo.nnz + sum(c.length for c in res.contigs)

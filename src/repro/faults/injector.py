@@ -10,14 +10,21 @@ and is consulted at three sites:
   propagates identically on every executor backend and the transactional
   accounting charges nothing), matching ``stall`` rules charge modeled
   straggler seconds after the superstep succeeds;
-* **checkpoint save/load** -- the engine asks :meth:`checkpoint_faults`
-  to corrupt a just-saved artifact or tear one out from under a load
-  (``cache_evict_race``), exercising the ``CheckpointLoadError`` ->
-  recompute degradation path;
+* **checkpoint save/load** -- the pipeline's ``on_checkpoint`` event
+  runs :meth:`checkpoint_faults` to corrupt a just-saved artifact or tear
+  one out from under a load (``cache_evict_race``), exercising the
+  ``CheckpointLoadError`` -> recompute degradation path;
 * **worker kill sites** -- the service worker asks
   :meth:`worker_kill_action` at stage boundaries; a matching rule either
   SIGKILLs the process (``mode="sigkill"``) or tells the caller to raise
   :class:`InjectedWorkerDeath` (``mode="sim"``, for in-process tests).
+
+The injector joins a pipeline run as an observer (it implements the
+:class:`~repro.pipeline.engine.PipelineObserver` hooks it needs;
+``run(fault_injector=...)`` is shorthand for adding it): on run start it
+installs itself on the run's world and routes every fired non-worker
+event to ``ctx.note``; on run end it restores the previous injector and
+sets ``result.faults_injected``.
 
 Every fired rule is appended to :attr:`events` and pushed to registered
 listeners *before* its effect lands, so even a fault that kills the
@@ -30,10 +37,13 @@ which is how a plan "eventually stops injecting".
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from ..errors import RankFailure
 from .plan import FaultPlan, FaultRule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..pipeline.engine import PipelineResult, RunContext
 
 __all__ = ["FaultInjector", "InjectedWorkerDeath", "describe_event"]
 
@@ -90,6 +100,9 @@ class FaultInjector:
         self._fires = [0] * len(plan.rules)
         self._supersteps: dict[str, int] = {}
         self._kill_checks = 0
+        #: (ctx, previous world injector, events before, note listener)
+        #: of the pipeline run this injector is installed on
+        self._run: tuple | None = None
 
     @property
     def exhausted(self) -> bool:
@@ -203,6 +216,33 @@ class FaultInjector:
                 )
                 return rule
         return None
+
+    # -- pipeline lifecycle hooks ------------------------------------------
+    def on_run_start(self, ctx: "RunContext") -> None:
+        def note(event: dict) -> None:
+            # the worker kill site records its own durable event: the
+            # process may not live long enough for any later hook to run
+            if event.get("site") != "worker":
+                ctx.note(event.get("stage") or "-", describe_event(event))
+
+        world = ctx.world
+        self._run = (ctx, world.fault_injector, len(self.events), note)
+        world.fault_injector = self
+        self.listeners.append(note)
+
+    def on_checkpoint(
+        self, stage: str, ctx: "RunContext", path: Any, when: str
+    ) -> None:
+        self.checkpoint_faults(stage, path, when)
+
+    def on_run_end(self, ctx: "RunContext", result: "PipelineResult") -> None:
+        if self._run is None or self._run[0] is not ctx:
+            return
+        _, prev, events0, note = self._run
+        self._run = None
+        self.listeners.remove(note)
+        ctx.world.fault_injector = prev
+        result.faults_injected = len(self.events) - events0
 
     # -- helpers for the superstep caller ---------------------------------
     @staticmethod

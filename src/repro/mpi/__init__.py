@@ -45,7 +45,6 @@ __all__ = [
     "make_executor",
     "default_executor",
     "ProcessExecutor",
-    "MPIExecutor",
     "SharedArrayHandle",
     "SharedBufferRegistry",
     "ProcGrid",
@@ -80,8 +79,4 @@ def __getattr__(name: str):
         from .procexec import ProcessExecutor
 
         return ProcessExecutor
-    if name == "MPIExecutor":
-        from .mpiexec import MPIExecutor
-
-        return MPIExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

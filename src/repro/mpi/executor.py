@@ -18,11 +18,7 @@ callable plus per-rank argument lists -- and
 * ``process`` -- ranks run on a persistent spawn-safe process pool
   (:class:`~repro.mpi.procexec.ProcessExecutor`): real multi-core
   parallelism for pure-Python sections too, with large read-only arrays
-  shipped zero-copy via :mod:`~repro.mpi.shm`;
-* ``mpi`` -- ranks run through mpi4py collectives
-  (:class:`~repro.mpi.mpiexec.MPIExecutor`); without an MPI installation
-  a single-rank emulator executes the identical serialize/execute/merge
-  path in-process.
+  shipped zero-copy via :mod:`~repro.mpi.shm`.
 
 Backends must be observationally identical: results come back in rank
 order, and all cost accounting (compute charges, memory observations,
@@ -395,31 +391,11 @@ class ThreadExecutor(Executor):
 
 
 #: Registered backend names, in documentation order.
-EXECUTOR_BACKENDS = ("serial", "thread", "process", "mpi")
+EXECUTOR_BACKENDS = ("serial", "thread", "process")
 
 #: Backends whose rank steps share the caller's address space (closures
 #: over worlds/locks are fine; enclosing-scope mutation is visible).
 IN_PROCESS_BACKENDS = ("serial", "thread")
-
-_EXECUTOR_CLASSES: dict[str, type[Executor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-}
-
-
-def _backend_class(name: str) -> type[Executor]:
-    """Resolve a backend name, importing heavy backends lazily."""
-    cls = _EXECUTOR_CLASSES.get(name)
-    if cls is None:
-        if name == "process":
-            from .procexec import ProcessExecutor as cls
-        elif name == "mpi":
-            from .mpiexec import MPIExecutor as cls
-        else:  # pragma: no cover - guarded by make_executor
-            raise KeyError(name)
-        _EXECUTOR_CLASSES[name] = cls
-    return cls
-
 
 # one shared instance per backend name: every world resolving "thread"
 # reuses the same lazily-built pool, bounding worker threads (and
@@ -445,7 +421,11 @@ def make_executor(spec: "str | Executor") -> Executor:
         )
     inst = _DEFAULT_INSTANCES.get(spec)
     if inst is None:
-        inst = _DEFAULT_INSTANCES[spec] = _backend_class(spec)()
+        if spec == "process":  # the heavy backend imports lazily
+            from .procexec import ProcessExecutor as cls
+        else:
+            cls = SerialExecutor if spec == "serial" else ThreadExecutor
+        inst = _DEFAULT_INSTANCES[spec] = cls()
     return inst
 
 

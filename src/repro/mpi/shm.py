@@ -322,7 +322,7 @@ def shm_loads(blob: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# validated step/task serialization (shared by process + mpi backends)
+# validated step/task serialization (the process backend)
 # ---------------------------------------------------------------------------
 
 

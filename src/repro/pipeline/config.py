@@ -28,8 +28,7 @@ class PipelineConfig:
     # per-rank compute backend for map_ranks supersteps: "serial" runs
     # ranks in order on the calling thread, "thread" overlaps them on a
     # worker pool, "process" runs whole rank steps in a spawn-safe
-    # process pool over shared read-only buffers, "mpi" drives mpi4py
-    # ranks (single-rank emulator without an MPI installation).
+    # process pool over shared read-only buffers.
     # Artifacts and modeled accounting are bit-identical across
     # backends, so -- like align_batch_size -- this is deliberately
     # not checkpoint-fingerprinted.  Env override: REPRO_EXECUTOR.
@@ -64,11 +63,6 @@ class PipelineConfig:
     partition_method: str = "lpt"
     emit_cycles: bool = False
     count_limit: int = MPI_COUNT_LIMIT
-    # local-assembly traversal implementation: "batch" (vectorized chain
-    # extraction + one strided gather per rank) or "scalar" (the per-vertex
-    # reference walk).  Bit-identical results either way, so -- like
-    # align_batch_size -- this is deliberately not checkpoint-fingerprinted
-    contig_engine: str = "batch"
     # §7 polishing phase: each rank pileup-polishes its own contigs against
     # the reads the sequence exchange already placed on it
     polish: bool = False
@@ -165,11 +159,6 @@ class PipelineConfig:
         if self.align_batch_size < 1:
             raise PipelineError(
                 f"align_batch_size must be >= 1, got {self.align_batch_size}"
-            )
-        if self.contig_engine not in ("batch", "scalar"):
-            raise PipelineError(
-                f"unknown contig_engine {self.contig_engine!r}; "
-                "options: batch, scalar"
             )
         if self.partition_method not in ("lpt", "greedy", "round_robin"):
             raise PipelineError(

@@ -22,9 +22,14 @@ run:
   still matches and recomputes only what changed (an ablation sweep over
   contig-stage knobs never re-runs CountKmer/DetectOverlap/Alignment).
 
-Observers receive ``on_stage_start`` / ``on_stage_end`` /
-``on_stage_skip`` callbacks, which is how the CLI trace output and the
-bench harness watch a run without touching stage internals.
+Everything else that takes part in a run observes one event sequence
+(see :class:`PipelineObserver` for the hooks and their order): the CLI's
+progress output, the job service's record keeper, the span
+:class:`~repro.telemetry.Tracer` and the
+:class:`~repro.faults.FaultInjector`.  The engine itself keeps only the
+control flow -- stage planning, checkpoint load/save (a hit skips the
+stage) and retry with rollback -- and reports its own advisory events
+through ``ctx.note``.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ from ..mpi.stats import TimingReport
 from ..overlap.filter import AlignmentStats
 from ..seq.readstore import DistReadStore
 from ..seq.simulate import ReadSet
+from .checkpoint import (
+    CheckpointLoadError,
+    CheckpointStore,
+    adopt_artifact,
+    base_fingerprint,
+)
 from .config import PipelineConfig
 
 __all__ = [
@@ -157,6 +168,19 @@ class RunContext:
     store: DistReadStore | None
     artifacts: dict[str, Any] = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+    #: the run's observers, in dispatch order
+    observers: list = field(default_factory=list)
+
+    def emit(self, hook: str, *args) -> None:
+        """Dispatch one event to the observers that have ``hook``, in order."""
+        for obs in self.observers:
+            method = getattr(obs, hook, None)
+            if method is not None:
+                method(*args)
+
+    def note(self, stage: str, text: str) -> None:
+        """An advisory event for ``stage`` (``"-"`` for the whole run)."""
+        self.emit("on_stage_note", stage, self, text)
 
     def require(self, key: str) -> Any:
         try:
@@ -185,7 +209,28 @@ class StageTiming:
 
 
 class PipelineObserver:
-    """Base observer: subclass and override any subset of the hooks."""
+    """Base observer: subclass and override any subset of the hooks.
+
+    Every hook is a no-op here.  The engine dispatches each event to the
+    run's observers in list order (any object with some of these methods
+    qualifies -- the tracer and the fault injector are plain classes)::
+
+        on_run_start
+        for each stage of the pipeline, one of:
+          on_stage_skip("artifact")          product present or undemanded
+          on_checkpoint("load"), on_stage_skip("checkpoint")
+          [on_checkpoint("load")]            a failed load recomputes:
+            on_stage_start, (on_stage_fail, on_stage_start)*, on_stage_end,
+            [on_checkpoint("save")]
+          on_stage_skip("until")             past the until= stage
+        on_run_end                           always, also when the run raises
+
+    ``on_stage_note`` may arrive between any two of these: the engine and
+    the participants emit notes through ``ctx.note(stage, text)``.
+    """
+
+    def on_run_start(self, ctx: RunContext) -> None:
+        pass
 
     def on_stage_start(self, stage: str, ctx: RunContext) -> None:
         pass
@@ -196,9 +241,22 @@ class PipelineObserver:
     def on_stage_skip(self, stage: str, ctx: RunContext, reason: str) -> None:
         pass
 
+    def on_stage_fail(
+        self, stage: str, ctx: RunContext, exc: BaseException, attempt: int
+    ) -> None:
+        """Attempt ``attempt`` of ``stage`` hit a rank failure and was
+        rolled back; a retry, if allowed, follows as ``on_stage_start``."""
+
     def on_stage_note(self, stage: str, ctx: RunContext, note: str) -> None:
         """An advisory event that is neither a skip nor an execution --
         e.g. a checkpoint that vanished between ``has`` and ``load``."""
+
+    def on_checkpoint(self, stage: str, ctx: RunContext, path, when: str) -> None:
+        """``when="load"``: ``path`` exists and is about to be loaded;
+        ``when="save"``: ``path`` was just written."""
+
+    def on_run_end(self, ctx: RunContext, result: "PipelineResult") -> None:
+        pass
 
 
 class TraceObserver(PipelineObserver):
@@ -287,8 +345,8 @@ class PipelineResult:
     recoveries: list[dict] = field(default_factory=list)
     #: faults an attached injector fired during this run
     faults_injected: int = 0
-    #: the run's :class:`~repro.telemetry.Tracer` when one was passed to
-    #: ``run(tracer=...)``; its digest is backend-independent
+    #: the run's :class:`~repro.telemetry.Tracer` when one observed the
+    #: run; its digest is backend-independent
     trace: Any = None
     #: this run's MemoryBudget, snapshotted at run end (budgets are
     #: per-run objects, so a later run on the same world cannot rewrite
@@ -437,8 +495,6 @@ class Pipeline:
         checkpoint_dir: str | None = None,
     ) -> "Pipeline":
         """The five paper stages, optionally extended with §7 phases."""
-        from . import stages as _stages  # noqa: F401  (registers stages)
-
         names = list(MAIN_STAGES)
         if scaffold:
             names.append("Scaffold")
@@ -452,11 +508,6 @@ class Pipeline:
 
     def add_observer(self, observer: PipelineObserver) -> None:
         self.observers.append(observer)
-
-    # -- hook dispatch ---------------------------------------------------
-    def _notify(self, hook: str, *args) -> None:
-        for obs in self.observers:
-            getattr(obs, hook)(*args)
 
     # -- planning --------------------------------------------------------
     def _slice(self, until: str | None) -> list[Stage]:
@@ -584,155 +635,67 @@ class Pipeline:
         observers:
             Extra observers for this run only, notified after the
             pipeline-level ones.
-        fault_injector:
-            A :class:`~repro.faults.FaultInjector` to hook into this
-            run's superstep and checkpoint boundaries.  Injected rank
-            failures are recovered by re-executing the stage (up to
-            ``config.stage_max_retries`` times, recorded in
-            ``result.recoveries``); checkpoint faults degrade to
-            recompute via the ``CheckpointLoadError`` fallback.  Every
-            fired fault surfaces as an ``on_stage_note``.
-        tracer:
-            A :class:`~repro.telemetry.Tracer` to attach for this run.
-            Stages, supersteps, collectives and injected stalls are
-            recorded as a span tree over the modeled clock (available as
-            ``result.trace``); recovered rank failures appear as closed
-            stage spans with ``failed``/``attempt`` attributes, one per
-            retry.  The modeled tree is bit-identical across executor
-            backends.
+        tracer, fault_injector:
+            Shorthand that appends a :class:`~repro.telemetry.Tracer` and
+            then a :class:`~repro.faults.FaultInjector` to this run's
+            observers.  Rank failures (injected or not) are recovered by
+            re-executing the stage up to ``config.stage_max_retries``
+            times, recorded in ``result.recoveries``.
         """
         config = config or PipelineConfig()
         config.validate()
         machine = config.resolve_machine()
         t0 = time.perf_counter()
 
-        run_observers = self.observers + list(observers)
-
-        def notify(hook: str, *args) -> None:
-            for obs in run_observers:
-                getattr(obs, hook)(*args)
-
         ctx = self._build_context(reads, config, machine)
+        ctx.observers = self.observers + list(observers) + [
+            obs for obs in (tracer, fault_injector) if obs is not None
+        ]
         if reads is None and not from_artifacts:
             raise PipelineError("pipeline needs reads or from_artifacts")
-        resolved_tier = resolve_kernel_tier(config.kernel_tier)
-        if resolved_tier != config.kernel_tier:
-            # requested native, extension unavailable: results are
-            # unaffected (tiers are bit-identical) but surface the
-            # degradation so perf runs are not silently slower
-            notify(
-                "on_stage_note",
-                "-",
-                ctx,
-                f"kernel tier fallback: {config.kernel_tier!r} unavailable "
-                f"({native_import_error()}); using {resolved_tier!r}",
-            )
         injected = bool(from_artifacts)
         if injected:
-            from .checkpoint import adopt_artifact
-
             for key, value in from_artifacts.items():
                 ctx.artifacts[key] = adopt_artifact(key, value, ctx)
 
         ckpt = checkpoint_store
-        if ckpt is None:
-            ckpt_root = checkpoint_dir or self.checkpoint_dir
-            if ckpt_root is not None:
-                from .checkpoint import CheckpointStore
-
-                ckpt = CheckpointStore(ckpt_root)
+        ckpt_root = checkpoint_dir or self.checkpoint_dir
         if injected:
             # injected data has no config-derived provenance to fingerprint
             ckpt = None
+        elif ckpt is None and ckpt_root is not None:
+            ckpt = CheckpointStore(ckpt_root)
+        fingerprint = None if ckpt is None else base_fingerprint(config, ctx.store)
 
         stage_slice = self._slice(until)
-        selected = self._plan(stage_slice, ctx.artifacts)
-        selected_names = {s.name for s in selected}
-
+        selected_names = {s.name for s in self._plan(stage_slice, ctx.artifacts)}
         result = PipelineResult(config=config, world=ctx.world, counts=ctx.counts)
 
-        if tracer is not None:
-            # the executor name is recorded on the tracer itself, not as a
-            # run attribute: attrs enter the digest, and the digest must
-            # agree across backends
-            tracer.attach(ctx.world)
-            tracer.begin_run(nprocs=ctx.world.nprocs, machine=machine.name)
-            result.trace = tracer
-
-        injector = fault_injector
-        prev_injector = None
-        fault_listener = None
-        events0 = 0
-        if injector is not None:
-            prev_injector = ctx.world.fault_injector
-            ctx.world.fault_injector = injector
-            events0 = len(injector.events)
-
-            def fault_listener(event: dict) -> None:
-                # surface every non-worker injection to the observers the
-                # moment it fires; the worker kill site records its own
-                # durable event because the process may not live long
-                # enough for any later hook to run
-                if event.get("site") == "worker":
-                    return
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(event.items())
-                    if k not in ("n", "site", "kind") and v is not None
-                )
-                notify(
-                    "on_stage_note", event.get("stage") or "-", ctx,
-                    f"fault injected: {event['kind']}"
-                    + (f" ({detail})" if detail else ""),
-                )
-
-            injector.listeners.append(fault_listener)
-
-        fingerprint = None
-        if ckpt is not None:
-            from .checkpoint import base_fingerprint
-
-            fingerprint = base_fingerprint(config, ctx.store)
+        def skip(stage: Stage, reason: str) -> None:
+            result.stages_skipped.append((stage.name, reason))
+            ctx.emit("on_stage_skip", stage.name, ctx, reason)
 
         try:
+            ctx.emit("on_run_start", ctx)
+            resolved_tier = resolve_kernel_tier(config.kernel_tier)
+            if resolved_tier != config.kernel_tier:
+                # requested native, extension unavailable: results are
+                # unaffected (tiers are bit-identical) but surface the
+                # degradation so perf runs are not silently slower
+                ctx.note(
+                    "-",
+                    f"kernel tier fallback: {config.kernel_tier!r} unavailable "
+                    f"({native_import_error()}); using {resolved_tier!r}",
+                )
             for stage in stage_slice:
                 if stage.name not in selected_names:
-                    result.stages_skipped.append((stage.name, "artifact"))
-                    if tracer is not None:
-                        tracer.skip_stage(stage.name, "artifact")
-                    notify("on_stage_skip", stage.name, ctx, "artifact")
+                    skip(stage, "artifact")
                     continue
                 if ckpt is not None:
                     fingerprint = ckpt.chain(fingerprint, stage, config)
-                    if ckpt.has(stage.name, fingerprint):
-                        from .checkpoint import CheckpointLoadError
-
-                        if injector is not None:
-                            # the TOCTOU window: the artifact may vanish or
-                            # rot between `has` and `load`
-                            injector.checkpoint_faults(
-                                stage.name,
-                                ckpt.path(stage.name, fingerprint),
-                                "load",
-                            )
-                        try:
-                            ckpt.load(stage, fingerprint, ctx)
-                        except CheckpointLoadError as exc:
-                            # evicted or torn between `has` and `load`: fall
-                            # back to recomputing the stage (TOCTOU-safe)
-                            notify(
-                                "on_stage_note", stage.name, ctx,
-                                f"checkpoint unavailable, recomputing: {exc}",
-                            )
-                        else:
-                            result.stages_skipped.append(
-                                (stage.name, "checkpoint")
-                            )
-                            if tracer is not None:
-                                tracer.skip_stage(stage.name, "checkpoint")
-                            notify(
-                                "on_stage_skip", stage.name, ctx, "checkpoint"
-                            )
-                            continue
+                    if self._load_checkpoint(ckpt, stage, fingerprint, ctx):
+                        skip(stage, "checkpoint")
+                        continue
                 missing = [k for k in stage.requires if k not in ctx.artifacts]
                 if missing:
                     raise PipelineError(
@@ -740,68 +703,9 @@ class Pipeline:
                         f"{missing}; inject them via from_artifacts or include "
                         f"the producing stage"
                     )
-                attempt = 0
-                while True:
-                    notify("on_stage_start", stage.name, ctx)
-                    if tracer is not None:
-                        if attempt:
-                            tracer.begin_stage(stage.name, attempt=attempt)
-                        else:
-                            tracer.begin_stage(stage.name)
-                    modeled0 = _modeled_seconds(ctx.world, stage.name)
-                    wall0 = time.perf_counter()
-                    artifacts_before = dict(ctx.artifacts)
-                    counts_before = dict(ctx.counts)
-                    try:
-                        with ctx.world.stage_scope(stage.name):
-                            stage.run(ctx)
-                    except RankFailure as exc:
-                        # roll the stage's partial publishes back.  The
-                        # failed superstep itself charged nothing
-                        # (accounting is transactional), so re-execution
-                        # replays from exactly the inputs the last
-                        # checkpoint covers and stays bit-identical
-                        ctx.artifacts.clear()
-                        ctx.artifacts.update(artifacts_before)
-                        ctx.counts.clear()
-                        ctx.counts.update(counts_before)
-                        attempt += 1
-                        if tracer is not None:
-                            tracer.fail_stage(type(exc).__name__, attempt)
-                        if attempt > config.stage_max_retries:
-                            notify(
-                                "on_stage_note", stage.name, ctx,
-                                f"rank failure not recovered: {stage.name} "
-                                f"failed {attempt} time(s), retries "
-                                f"exhausted: {exc}",
-                            )
-                            raise
-                        result.recoveries.append({
-                            "stage": stage.name,
-                            "rank": exc.rank,
-                            "superstep": exc.superstep,
-                            "attempt": attempt,
-                        })
-                        notify(
-                            "on_stage_note", stage.name, ctx,
-                            f"recovery: rank {exc.rank} failed in superstep "
-                            f"{exc.superstep}; re-executing {stage.name} "
-                            f"(attempt {attempt + 1} of "
-                            f"{config.stage_max_retries + 1})",
-                        )
-                        continue
-                    break
-                timing = StageTiming(
-                    stage=stage.name,
-                    modeled_seconds=(
-                        _modeled_seconds(ctx.world, stage.name) - modeled0
-                    ),
-                    wall_seconds=time.perf_counter() - wall0,
-                )
-                if tracer is not None:
-                    tracer.end_stage(wall=timing.wall_seconds)
+                timing, counts_before = self._run_stage(stage, ctx, result)
                 result.stages_run.append(stage.name)
-                notify("on_stage_end", stage.name, ctx, timing)
+                ctx.emit("on_stage_end", stage.name, ctx, timing)
                 if ckpt is not None:
                     counts_delta = {
                         k: v
@@ -809,27 +713,16 @@ class Pipeline:
                         if k not in counts_before or counts_before[k] != v
                     }
                     ckpt.save(stage.name, fingerprint, stage, ctx, counts_delta)
-                    if injector is not None:
-                        injector.checkpoint_faults(
-                            stage.name,
-                            ckpt.path(stage.name, fingerprint),
-                            "save",
-                        )
+                    ctx.emit(
+                        "on_checkpoint", stage.name, ctx,
+                        ckpt.path(stage.name, fingerprint), "save",
+                    )
 
             # stages beyond `until` are reported as skipped, not dropped
             for stage in self.stages[len(stage_slice):]:
-                result.stages_skipped.append((stage.name, "until"))
-                if tracer is not None:
-                    tracer.skip_stage(stage.name, "until")
-                notify("on_stage_skip", stage.name, ctx, "until")
+                skip(stage, "until")
         finally:
-            if tracer is not None:
-                tracer.end_run(wall=time.perf_counter() - t0)
-                tracer.detach()
-            if injector is not None:
-                injector.listeners.remove(fault_listener)
-                ctx.world.fault_injector = prev_injector
-                result.faults_injected = len(injector.events) - events0
+            ctx.emit("on_run_end", ctx, result)
 
         ctx.counts["peak_memory_bytes"] = ctx.world.memory.peak_overall()
         budget = ctx.world.memory.budget
@@ -856,3 +749,79 @@ class Pipeline:
             result.S = ctx.artifacts.get("S")
             result.reads = ctx.store
         return result
+
+    @staticmethod
+    def _load_checkpoint(
+        ckpt, stage: Stage, fingerprint: str, ctx: RunContext
+    ) -> bool:
+        """Load ``stage``'s checkpoint if one matches; False means recompute."""
+        if not ckpt.has(stage.name, fingerprint):
+            return False
+        path = ckpt.path(stage.name, fingerprint)
+        ctx.emit("on_checkpoint", stage.name, ctx, path, "load")
+        try:
+            ckpt.load(stage, fingerprint, ctx)
+        except CheckpointLoadError as exc:
+            # evicted or torn between `has` and `load`: fall back to
+            # recomputing the stage (TOCTOU-safe)
+            ctx.note(stage.name, f"checkpoint unavailable, recomputing: {exc}")
+            return False
+        return True
+
+    @staticmethod
+    def _run_stage(
+        stage: Stage, ctx: RunContext, result: PipelineResult
+    ) -> tuple[StageTiming, dict]:
+        """Execute ``stage``, re-executing it after a recoverable rank failure.
+
+        Returns the timing of the successful attempt and the counters as
+        they stood before it (a checkpoint stores only the delta).
+        """
+        retries = ctx.config.stage_max_retries
+        attempt = 0
+        while True:
+            ctx.emit("on_stage_start", stage.name, ctx)
+            modeled0 = _modeled_seconds(ctx.world, stage.name)
+            wall0 = time.perf_counter()
+            artifacts_before = dict(ctx.artifacts)
+            counts_before = dict(ctx.counts)
+            try:
+                with ctx.world.stage_scope(stage.name):
+                    stage.run(ctx)
+                break
+            except RankFailure as exc:
+                # roll the stage's partial publishes back.  The failed
+                # superstep itself charged nothing (accounting is
+                # transactional), so re-execution replays from exactly the
+                # inputs the last checkpoint covers and stays bit-identical
+                ctx.artifacts.clear()
+                ctx.artifacts.update(artifacts_before)
+                ctx.counts.clear()
+                ctx.counts.update(counts_before)
+                attempt += 1
+                ctx.emit("on_stage_fail", stage.name, ctx, exc, attempt)
+                if attempt > retries:
+                    ctx.note(
+                        stage.name,
+                        f"rank failure not recovered: {stage.name} failed "
+                        f"{attempt} time(s), retries exhausted: {exc}",
+                    )
+                    raise
+                result.recoveries.append({
+                    "stage": stage.name,
+                    "rank": exc.rank,
+                    "superstep": exc.superstep,
+                    "attempt": attempt,
+                })
+                ctx.note(
+                    stage.name,
+                    f"recovery: rank {exc.rank} failed in superstep "
+                    f"{exc.superstep}; re-executing {stage.name} "
+                    f"(attempt {attempt + 1} of {retries + 1})",
+                )
+        timing = StageTiming(
+            stage=stage.name,
+            modeled_seconds=_modeled_seconds(ctx.world, stage.name) - modeled0,
+            wall_seconds=time.perf_counter() - wall0,
+        )
+        return timing, counts_before

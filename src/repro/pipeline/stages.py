@@ -173,7 +173,6 @@ class ExtractContigStage(Stage):
             emit_cycles=config.emit_cycles,
             count_limit=config.count_limit,
             polish=config.polish,
-            assembly_engine=config.contig_engine,
             kernel_tier=config.kernel_tier,
         )
         ctx.counts["contigs"] = contigs.count

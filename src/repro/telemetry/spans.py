@@ -16,7 +16,7 @@ Every span is stamped with the **modeled** clock: the tracer keeps one
 cursor per rank and advances it with BSP semantics -- a superstep starts
 at the barrier (max cursor over ranks), each rank's lane runs for its
 buffered compute seconds, a collective synchronizes its participants.
-Modeled charges are bit-identical across the serial/thread/process/mpi
+Modeled charges are bit-identical across the serial/thread/process
 executor backends (buffered per rank, merged in rank order), so the span
 tree is too: :meth:`Tracer.digest` hashes the tree *excluding wall time*
 and must agree across backends.  Wall-clock readings ride along on the
@@ -28,18 +28,23 @@ runtime already forbids collectives and world charges inside rank steps):
 * :meth:`~repro.mpi.comm.SimWorld.map_ranks` calls :meth:`superstep`
   with the parent-side rank contexts before the accounting merge;
 * :meth:`~repro.mpi.comm.SimComm._charge` calls :meth:`collective`;
-* the pipeline engine brackets stages with :meth:`begin_stage` /
-  :meth:`end_stage` (or :meth:`fail_stage` on a recovered rank failure,
-  so every retry attempt is visible) and reports skips.
+* the tracer is a pipeline observer (it implements the
+  :class:`~repro.pipeline.engine.PipelineObserver` hooks): on run
+  start it attaches to the run's world and opens the run span, its stage
+  hooks map onto :meth:`begin_stage` / :meth:`end_stage` /
+  :meth:`skip_stage` / :meth:`fail_stage` (so every retry attempt is
+  visible), and on run end it closes the tree, detaches and hands itself
+  to the result as ``result.trace``.
 
-All hooks are ``if world.tracer is not None`` guards, so an untraced run
-pays one attribute read per site.
+The runtime sites are ``if world.tracer is not None`` guards, so an
+untraced run pays one attribute read per site.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -50,6 +55,7 @@ from ..errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi.comm import SimWorld
     from ..mpi.executor import RankContext
+    from ..pipeline.engine import PipelineResult, RunContext, StageTiming
 
 __all__ = ["Span", "Tracer", "TelemetryError"]
 
@@ -118,7 +124,8 @@ class Span:
 class Tracer:
     """Builds one deterministic span tree per attached run.
 
-    Usage with the pipeline engine::
+    Usage with the pipeline engine (``tracer=`` is shorthand for adding
+    it to the run's observers)::
 
         tracer = Tracer()
         result = pipeline.run(reads, cfg, tracer=tracer)
@@ -146,6 +153,10 @@ class Tracer:
         self._superstep_idx: dict[str, int] = {}
         self._world: "SimWorld | None" = None
         self._prev_tracer: Any = None
+        #: perf_counter at on_run_start; None when no pipeline run is open
+        self._run_wall0: float | None = None
+        #: failed attempts of the stage about to be retried
+        self._retry_attempt = 0
 
     # -- attachment ------------------------------------------------------
     def attach(self, world: "SimWorld") -> "Tracer":
@@ -239,6 +250,42 @@ class Tracer:
         self._container().children.append(
             Span(name, "stage", t, t, attrs={"skipped": reason})
         )
+
+    # -- pipeline lifecycle hooks ----------------------------------------
+    def on_run_start(self, ctx: "RunContext") -> None:
+        # begin_run refuses a reused tracer before attach touches the
+        # world.  The executor name stays off the run attrs: attrs enter
+        # the digest, and the digest must agree across backends
+        self.begin_run(nprocs=ctx.world.nprocs, machine=ctx.machine.name)
+        self.attach(ctx.world)
+        self._run_wall0 = time.perf_counter()
+
+    def on_stage_start(self, stage: str, ctx: "RunContext") -> None:
+        attrs = {"attempt": self._retry_attempt} if self._retry_attempt else {}
+        self._retry_attempt = 0
+        self.begin_stage(stage, **attrs)
+
+    def on_stage_end(
+        self, stage: str, ctx: "RunContext", timing: "StageTiming"
+    ) -> None:
+        self.end_stage(wall=timing.wall_seconds)
+
+    def on_stage_skip(self, stage: str, ctx: "RunContext", reason: str) -> None:
+        self.skip_stage(stage, reason)
+
+    def on_stage_fail(
+        self, stage: str, ctx: "RunContext", exc: BaseException, attempt: int
+    ) -> None:
+        self.fail_stage(type(exc).__name__, attempt)
+        self._retry_attempt = attempt
+
+    def on_run_end(self, ctx: "RunContext", result: "PipelineResult") -> None:
+        if self._run_wall0 is None:  # this run never started tracing
+            return
+        self.end_run(wall=time.perf_counter() - self._run_wall0)
+        self._run_wall0 = None
+        self.detach()
+        result.trace = self
 
     # -- runtime hooks ---------------------------------------------------
     def superstep(

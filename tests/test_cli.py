@@ -58,24 +58,6 @@ class TestAssembleCli:
         assert rc == 0
         assert "assembled 1 contigs" in text
 
-    def test_contig_engine_flag(self, workspace):
-        """Both traversal engines assemble the same contig set."""
-        seqs = {}
-        for engine in ("scalar", "batch"):
-            out_fa = workspace["tmp"] / f"contigs_{engine}.fa"
-            rc, text = run(
-                assemble_main,
-                ["--fasta", str(workspace["reads_fa"]), "-k", "21", "-P", "4",
-                 "--contig-engine", engine, "-o", str(out_fa)],
-            )
-            assert rc == 0
-            assert "assembled 1 contigs" in text
-            _, contigs = read_fasta(out_fa)
-            seqs[engine] = contigs
-        assert len(seqs["scalar"]) == len(seqs["batch"])
-        for a, b in zip(seqs["scalar"], seqs["batch"]):
-            assert np.array_equal(a, b)
-
     def test_executor_flag(self, workspace):
         """Both executor backends assemble bit-identical contig sets."""
         seqs = {}

@@ -307,3 +307,93 @@ class TestOptionalStages:
         assert "polished" in res.artifacts
         assert res.counts["scaffolds"] >= 1
         assert res.stages_run == MAIN_STAGES + ["Scaffold", "Polish"]
+
+
+class TestPinnedEventStream:
+    """The observer-visible event stream of one faulted checkpoint run.
+
+    A fixed fault plan (a rank crash in Alignment, a straggler stall in
+    TrReduction, and a bit-flip of DetectOverlap's checkpoint at load)
+    drives two runs over one checkpoint directory: the first computes
+    everything and recovers the crash, the second resumes from the
+    checkpoints and recomputes the corrupted stage.  The exact event and
+    note sequences are pinned, so any refactoring of how the engine
+    dispatches its hooks must keep them byte for byte.
+    """
+
+    @staticmethod
+    def _plan():
+        from repro.faults import FaultPlan, checkpoint_corrupt, rank_crash, stall
+
+        return FaultPlan(rules=(
+            rank_crash(stage="Alignment", superstep=0, rank=1),
+            checkpoint_corrupt(stage="DetectOverlap", when="load", mode="bitflip"),
+            stall(rank=2, seconds=5.0, stage="TrReduction", superstep=0),
+        ))
+
+    def test_faulted_checkpoint_run_stream(self, tiled, cfg, full_run, tmp_path):
+        from repro.faults import FaultInjector
+
+        _, rs = tiled
+        injector = FaultInjector(self._plan())
+        obs = CollectingObserver()
+        pipe = Pipeline.default(observers=[obs])
+        first = pipe.run(rs, cfg, checkpoint_dir=tmp_path, fault_injector=injector)
+        second = pipe.run(rs, cfg, checkpoint_dir=tmp_path, fault_injector=injector)
+
+        assert first.contig_digest() == full_run.contig_digest()
+        assert second.contig_digest() == full_run.contig_digest()
+        assert (first.faults_injected, second.faults_injected) == (2, 1)
+        assert first.recoveries == [
+            {"stage": "Alignment", "rank": 1, "superstep": 0, "attempt": 1}
+        ]
+        assert second.stages_run == ["DetectOverlap"]
+
+        assert obs.events == [
+            ("start", "CountKmer"), ("end", "CountKmer"),
+            ("start", "DetectOverlap"), ("end", "DetectOverlap"),
+            ("start", "Alignment"), ("note", "Alignment"), ("note", "Alignment"),
+            ("start", "Alignment"), ("end", "Alignment"),
+            ("start", "TrReduction"), ("note", "TrReduction"),
+            ("end", "TrReduction"),
+            ("start", "ExtractContig"), ("end", "ExtractContig"),
+            ("skip", "CountKmer"),
+            ("note", "DetectOverlap"), ("note", "DetectOverlap"),
+            ("start", "DetectOverlap"), ("end", "DetectOverlap"),
+            ("skip", "Alignment"), ("skip", "TrReduction"),
+            ("skip", "ExtractContig"),
+        ]
+        assert obs.notes == [
+            ("Alignment",
+             "fault injected: rank_crash (rank=1, stage=Alignment, superstep=0)"),
+            ("Alignment",
+             "recovery: rank 1 failed in superstep 0; re-executing Alignment "
+             "(attempt 2 of 4)"),
+            ("TrReduction",
+             "fault injected: stall (rank=2, seconds=5.0, stage=TrReduction, "
+             "superstep=0)"),
+            ("DetectOverlap",
+             "fault injected: checkpoint_corrupt (action=corrupted:bitflip, "
+             "stage=DetectOverlap, when=load)"),
+            ("DetectOverlap",
+             "checkpoint unavailable, recomputing: checkpoint "
+             "DetectOverlap-95ca24fc127acf1be628.ckpt failed its integrity "
+             "check (corrupted on disk)"),
+        ]
+
+    def test_faulted_trace_digest_backend_independent(self, tiled, cfg):
+        from repro.faults import FaultInjector
+        from repro.telemetry import Tracer
+
+        _, rs = tiled
+        digests = {}
+        for backend in ("serial", "thread"):
+            run_cfg = dataclasses.replace(cfg, executor=backend)
+            result = Pipeline.default().run(
+                rs, run_cfg,
+                fault_injector=FaultInjector(self._plan()),
+                tracer=Tracer(),
+            )
+            assert result.recoveries and result.faults_injected == 2
+            digests[backend] = result.trace.digest()
+        assert digests["serial"] == digests["thread"]

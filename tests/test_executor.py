@@ -49,7 +49,7 @@ class TestMakeExecutor:
         assert isinstance(make_executor("thread"), ThreadExecutor)
 
     def test_all_backends_registered(self):
-        assert EXECUTOR_BACKENDS == ("serial", "thread", "process", "mpi")
+        assert EXECUTOR_BACKENDS == ("serial", "thread", "process")
         for name in EXECUTOR_BACKENDS:
             ex = make_executor(name)
             assert ex.name == name
@@ -57,7 +57,6 @@ class TestMakeExecutor:
         for name in IN_PROCESS_BACKENDS:
             assert make_executor(name).in_process
         assert not make_executor("process").in_process
-        assert not make_executor("mpi").in_process
 
     def test_instance_passthrough(self):
         ex = ThreadExecutor(max_workers=2)

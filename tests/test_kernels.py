@@ -119,7 +119,7 @@ class TestConfigAndCli:
 
     def test_tier_not_fingerprinted(self):
         # bit-identical knobs stay out of checkpoint fingerprints, like
-        # executor / align_batch_size / contig_engine
+        # executor / align_batch_size
         assert "kernel_tier" not in AlignmentStage.config_fields
         assert "kernel_tier" not in ExtractContigStage.config_fields
 

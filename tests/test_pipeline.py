@@ -51,12 +51,6 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig(xdrop=-1).validate()
 
-    def test_contig_engine_validated(self):
-        with pytest.raises(PipelineError):
-            PipelineConfig(contig_engine="simd").validate()
-        PipelineConfig(contig_engine="scalar").validate()
-        PipelineConfig(contig_engine="batch").validate()
-
     def test_align_batch_size_below_one_rejected(self):
         with pytest.raises(PipelineError):
             PipelineConfig(align_batch_size=0).validate()

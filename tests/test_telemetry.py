@@ -2,7 +2,7 @@
 
 The load-bearing property is **backend bit-identity**: the modeled span
 tree (and therefore :meth:`Tracer.digest`) must agree exactly across the
-serial, thread, process and mpi executor backends, standalone and through
+serial, thread and process executor backends, standalone and through
 the full pipeline.  Wall-clock readings ride along but never enter the
 digest.
 """
@@ -29,7 +29,7 @@ from repro.telemetry import (
     write_jsonl,
 )
 
-BACKENDS = ("serial", "thread", "process", "mpi")
+BACKENDS = ("serial", "thread", "process")
 
 
 def step(ctx, arr):
@@ -263,6 +263,24 @@ class TestPipelineIntegration:
         cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
         result = Pipeline.default().run(tiny_reads, cfg)
         assert result.trace is None
+
+    def test_reused_tracer_does_not_leak_onto_world(self, tiny_reads):
+        """A tracer rejected at run start is never left on the world, so a
+        later untraced run on the same store records nothing into it."""
+        from repro.mpi import ProcGrid
+        from repro.seq import DistReadStore
+
+        cfg = PipelineConfig(nprocs=4, k=17, reliable_lo=1, end_margin=5)
+        grid = ProcGrid(SimWorld(4, cori_haswell()))
+        store = DistReadStore.from_global(grid, tiny_reads.reads)
+        tracer = Tracer()
+        Pipeline.default().run(store, cfg, tracer=tracer)
+        with pytest.raises(TelemetryError, match="already holds a run"):
+            Pipeline.default().run(store, cfg, tracer=tracer)
+        assert store.grid.world.tracer is None
+        spans = len(list(tracer.spans()))
+        Pipeline.default().run(store, cfg)
+        assert len(list(tracer.spans())) == spans
 
 
 class TestMetricsPrimitives:
